@@ -26,7 +26,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
 
 # Import-graph discipline (no runtime cycles, no TYPE_CHECKING-hidden
-# internal imports) and a dead-code sweep over the search package.
+# internal imports) and a dead-code sweep over the whole package.
 lint:
 	$(PYTHON) -m repro.devtools.lint
 

@@ -12,11 +12,11 @@ Two checks, both AST-based (the checked code is never imported):
    :mod:`repro.search.protocols`; new coupling must be broken the same
    way, not hidden from the runtime.
 
-2. **Dead code.**  Top-level functions and classes in ``repro.search``,
-   ``repro.transfer``, and ``repro.reliability`` that no other source
-   file, test, benchmark, or example references and that their module
-   does not export via ``__all__``; plus private (``_``-prefixed)
-   top-level definitions never referenced inside their own module.
+2. **Dead code.**  Top-level functions and classes anywhere in
+   ``repro`` that no other source file, test, benchmark, or example
+   references and that their module does not export via ``__all__``;
+   plus private (``_``-prefixed) top-level definitions never referenced
+   inside their own module.
 
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
@@ -35,7 +35,6 @@ __all__ = [
     "find_cycles",
     "check_imports",
     "check_dead_code",
-    "DEAD_CODE_SUBPACKAGES",
     "run_lint",
     "main",
 ]
@@ -238,25 +237,10 @@ def _word_count(pattern: re.Pattern, text: str) -> int:
     return len(pattern.findall(text))
 
 
-#: packages swept for dead code by default.
-DEAD_CODE_SUBPACKAGES = (
-    f"{PACKAGE}.search",
-    f"{PACKAGE}.transfer",
-    f"{PACKAGE}.reliability",
-    f"{PACKAGE}.service",
-    f"{PACKAGE}.ml",
-    f"{PACKAGE}.perf",
-    f"{PACKAGE}.chaos",
-    f"{PACKAGE}.meta",
-    f"{PACKAGE}.spec",
-    f"{PACKAGE}.exec.scrub",
-)
-
-
 def check_dead_code(
     modules: dict[str, str],
     repo_root: str,
-    subpackage: str | tuple[str, ...] = DEAD_CODE_SUBPACKAGES,
+    subpackage: str | tuple[str, ...] = PACKAGE,
 ) -> list[str]:
     """Top-level defs in ``subpackage`` (one name or a tuple of names)
     that nothing references.
@@ -350,8 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: {len(errors)} finding(s)")
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
-          "no dead search/transfer/reliability/service/ml/perf/chaos/meta/"
-          "spec/scrub code)")
+          "no dead code)")
     return 0
 
 

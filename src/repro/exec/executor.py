@@ -16,7 +16,7 @@ worker processes and a supervision loop:
   with exponential backoff, up to ``max_task_retries`` times;
 * cells that keep failing are **quarantined** as structured
   :class:`CellFailure` results instead of poisoning the grid (grid
-  mode), or re-raised with full fidelity (``parallel_map`` mode);
+  mode), or re-raised with full fidelity (``on_failure="raise"``);
 * ``SIGINT``/``SIGTERM`` tear the worker fleet down cleanly — workers
   ignore ``SIGINT`` so a Ctrl-C hits only the supervisor, which kills,
   joins, and reaps every child before re-raising.
@@ -65,6 +65,7 @@ __all__ = [
     "ExecutorStats",
     "SupervisedExecutor",
     "GridOutcome",
+    "default_workers",
     "run_grid",
 ]
 
@@ -72,6 +73,26 @@ __all__ = [
 CHAOS_EXITCODE = 113
 
 _TWO64 = float(1 << 64)
+
+
+def default_workers(cap: int = 8) -> int:
+    """A sensible worker count: physical-ish cores, capped.
+
+    The ``REPRO_WORKERS`` environment variable overrides the heuristic
+    (useful on shared CI machines and for forcing serial runs).
+    """
+    env = os.environ.get("REPRO_WORKERS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            # The int() context adds nothing: the message already says
+            # exactly what was wrong and where it came from.
+            raise ValueError(
+                f"REPRO_WORKERS must be an integer, got {env!r}"
+            ) from None
+    cpus = os.cpu_count() or 1
+    return max(1, min(cap, cpus - 1 if cpus > 1 else 1))
 
 
 def _env_task_timeout() -> float | None:
@@ -350,8 +371,7 @@ class SupervisedExecutor:
     ----------
     n_workers:
         Worker process count; ``None`` defers to
-        :func:`repro.utils.parallel.default_workers` (which honours
-        ``REPRO_WORKERS``).
+        :func:`default_workers` (which honours ``REPRO_WORKERS``).
     task_timeout:
         Per-task wall-clock budget in seconds.  The string ``"env"``
         (default) reads ``REPRO_TASK_TIMEOUT``; ``None`` disables.
@@ -443,9 +463,9 @@ class SupervisedExecutor:
     ) -> list:
         """Apply ``func`` to every item under supervision, in order.
 
-        ``on_failure="raise"`` reproduces :func:`parallel_map` semantics:
-        the first application exception (or exhausted-retry operational
-        failure) propagates after the fleet is torn down.
+        ``on_failure="raise"``: the first application exception (or
+        exhausted-retry operational failure) propagates after the fleet
+        is torn down.
         ``on_failure="quarantine"`` (requires ``chunksize=1``) never
         raises for a cell: failing cells come back as
         :class:`CellFailure` entries in the result list.
@@ -466,8 +486,6 @@ class SupervisedExecutor:
             raise ValueError("quarantine mode requires chunksize=1")
         n_workers = self.n_workers
         if n_workers is None:
-            from repro.utils.parallel import default_workers
-
             n_workers = default_workers()
         if n_workers <= 1 or len(items) <= 1:
             return self._map_serial(func, items, keys, on_failure, on_result)

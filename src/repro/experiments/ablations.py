@@ -65,6 +65,7 @@ from repro.utils.tables import format_table
 __all__ = [
     "AblationRow",
     "AblationResult",
+    "DissimilarityResult",
     "run_delta_sweep",
     "run_surrogate_ablation",
     "run_pool_sweep",

@@ -17,15 +17,12 @@ bit-identical.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.errors import ModelError
 from repro.ml import _native
 from repro.ml.base import Regressor, check_X, check_Xy
 from repro.ml.tree import DecisionTreeRegressor
-from repro.utils.parallel import default_workers, parallel_map
 from repro.utils.rng import RngFactory
 
 __all__ = ["PackedTrees", "RandomForestRegressor"]
@@ -141,25 +138,6 @@ class PackedTrees:
         return vals.std(axis=0)
 
 
-def _fit_one_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: dict,
-    seed: int,
-    t: int,
-) -> tuple[DecisionTreeRegressor, np.ndarray]:
-    """Grow bootstrap tree ``t`` (module-level so process pools can
-    pickle it).  Both the bootstrap and split streams are independent
-    children of the forest seed, so results do not depend on which
-    worker grows which tree."""
-    factory = RngFactory("random-forest", seed=seed)
-    rng = factory.child("tree", t)
-    sample = rng.integers(0, len(y), size=len(y))
-    tree = DecisionTreeRegressor(rng=factory.child("split", t), **params)
-    tree._fit_arrays(X[sample], y[sample])
-    return tree, sample
-
-
 class RandomForestRegressor(Regressor):
     """Bagged ensemble of CART trees.
 
@@ -175,10 +153,6 @@ class RandomForestRegressor(Regressor):
     seed:
         Root seed; tree ``i`` draws from an independent child stream,
         so results do not depend on construction order.
-    n_jobs:
-        Worker processes for tree fitting: ``None``/``1`` fits
-        serially, ``-1`` uses :func:`default_workers`.  The child-seed
-        streams make every setting produce identical forests.
     engine:
         Split-search engine passed to each tree (``"presort"`` or
         ``"legacy"``); both grow bit-identical trees.
@@ -192,20 +166,16 @@ class RandomForestRegressor(Regressor):
         min_samples_split: int = 5,
         min_samples_leaf: int = 2,
         seed: int = 0,
-        n_jobs: int | None = None,
         engine: str = "presort",
     ) -> None:
         if n_estimators < 1:
             raise ModelError(f"n_estimators must be >= 1, got {n_estimators}")
-        if n_jobs is not None and n_jobs == 0:
-            raise ModelError("n_jobs must be a positive count, -1, or None")
         self.n_estimators = n_estimators
         self.max_features = max_features
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
-        self.n_jobs = n_jobs
         self.engine = engine
         self.trees: list[DecisionTreeRegressor] = []
         self._packed: PackedTrees | None = None
@@ -213,15 +183,13 @@ class RandomForestRegressor(Regressor):
         self._importances: np.ndarray | None = None
 
     @classmethod
-    def from_spec(
-        cls, spec=None, n_jobs: int | None = None, engine: str = "presort"
-    ) -> "RandomForestRegressor":
+    def from_spec(cls, spec=None, engine: str = "presort") -> "RandomForestRegressor":
         """Build a forest from a :class:`repro.spec.ForestSpec`.
 
         The single construction path for every forest the tuner builds
         (surrogate and SMBO refit alike), so hyperparameter defaults
-        live in one place.  ``n_jobs``/``engine`` stay separate: they
-        are execution details, not tuner hyperparameters.
+        live in one place.  ``engine`` stays separate: it is an
+        execution detail, not a tuner hyperparameter.
         """
         from repro.spec import ForestSpec
 
@@ -234,7 +202,6 @@ class RandomForestRegressor(Regressor):
             min_samples_split=spec.min_samples_split,
             min_samples_leaf=spec.min_samples_leaf,
             seed=spec.seed,
-            n_jobs=n_jobs,
             engine=engine,
         )
 
@@ -250,20 +217,7 @@ class RandomForestRegressor(Regressor):
     def fit(self, X, y) -> "RandomForestRegressor":
         X, y = check_Xy(X, y)
         n, p = X.shape
-        n_jobs = self.n_jobs
-        if n_jobs == -1:
-            n_jobs = default_workers()
-        if n_jobs is not None and n_jobs > 1:
-            grown = parallel_map(
-                partial(_fit_one_tree, X, y, self._tree_params(), self.seed),
-                range(self.n_estimators),
-                n_workers=n_jobs,
-                chunksize=max(1, self.n_estimators // (4 * n_jobs)),
-            )
-            samples = np.stack([sample for _, sample in grown])
-            self.trees = [tree for tree, _ in grown]
-        else:
-            self.trees, samples = self._fit_serial(X, y, n, p)
+        self.trees, samples = self._grow(X, y, n, p)
         importances = np.zeros(p)
         for tree in self.trees:
             importances += tree.feature_importances_
@@ -287,11 +241,11 @@ class RandomForestRegressor(Regressor):
         self._y_train = y
         return self
 
-    def _fit_serial(
+    def _grow(
         self, X: np.ndarray, y: np.ndarray, n: int, p: int
     ) -> tuple[list[DecisionTreeRegressor], np.ndarray]:
-        """Serial growth with the per-tree root argsorts batched into a
-        single (T, n, p) stable sort — the forest-level half of the
+        """Grow every tree, with the per-tree root argsorts batched into
+        a single (T, n, p) stable sort — the forest-level half of the
         presorted split search."""
         factory = RngFactory("random-forest", seed=self.seed)
         params = self._tree_params()

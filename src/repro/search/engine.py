@@ -41,11 +41,9 @@ hand-rolled loop; the prune-then-bias hybrid
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import BudgetExhaustedError, EvaluationFailure, SearchError
 from repro.ml import _native
-from repro.search.protocols import EngineContext, Gate, Proposal, Proposer
+from repro.search.protocols import EngineContext, Gate, Proposer
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.searchspace.space import SearchSpace
 from repro.spec import UNSET, TunerSpec, resolve_spec
@@ -151,17 +149,16 @@ class SearchEngine:
         Optional :class:`~repro.reliability.checkpoint.CheckpointManager`;
         when its file exists the search resumes from it.
     batch_size:
-        Propose/gate/score candidates in blocks of up to this many
-        instead of one Python-level iteration each (``None`` keeps the
-        serial loop).  Purely an execution strategy: the batched loop
-        replays the serial loop's per-candidate accounting — every
-        clock charge in the same order, the same positions, the same
-        records — so traces and checkpoint bytes are identical for
-        every batch size (the golden-trace suite enforces this).  Block
-        execution engages only for proposers that implement
-        ``propose_block``/``rewind`` and degrades candidate-by-candidate
-        otherwise; proposers carrying checkpoint ``state()`` (the guard
-        wrapper) also stay serial under a checkpoint manager, because a
+        Ask the proposer for blocks of up to this many candidates
+        (``None`` means blocks of one).  Purely an execution strategy:
+        every candidate is still gated, evaluated, and recorded one at
+        a time in stream order — every clock charge in the same order,
+        the same positions, the same records — so traces and checkpoint
+        bytes are identical for every batch size (the golden-trace
+        suite enforces this).  Sequential sources (SMBO's model phase,
+        the techniques, an armed guard) return one candidate per block
+        whatever the size; proposers carrying checkpoint ``state()``
+        take blocks of one under a checkpoint manager, because a
         mid-block snapshot would capture over-consumed positions.
     """
 
@@ -186,9 +183,9 @@ class SearchEngine:
         spec: TunerSpec | None = None,
     ) -> None:
         # ``batch_size`` beats ``spec.engine.batch_size`` beats the
-        # historical default (None — the serial loop).  The sentinel
-        # keeps explicit ``batch_size=None`` meaning "serial", exactly
-        # as before the spec layer existed.
+        # historical default (None — blocks of one).  The sentinel
+        # keeps explicit ``batch_size=None`` meaning "blocks of one",
+        # exactly as before the spec layer existed.
         if batch_size is UNSET:
             batch_size = (
                 resolve_spec(spec).engine.batch_size
@@ -220,20 +217,12 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def diagnostics(self) -> dict:
-        """Execution-mode report: the configured batch size, whether the
-        composed proposer supports block proposing, and the native-
-        kernel probe outcome (see :func:`repro.ml._native.diagnostics`).
-        None of it affects results — only throughput."""
-        block_capable = (
-            hasattr(self.proposer, "propose_block")
-            and hasattr(self.proposer, "rewind")
-        )
+        """Execution-mode report: the configured batch size and the
+        native-kernel probe outcome (see
+        :func:`repro.ml._native.diagnostics`).  None of it affects
+        results — only throughput."""
         return {
             "batch_size": self.batch_size,
-            "engine_mode": "batched" if (
-                self.batch_size is not None and block_capable
-            ) else "serial",
-            "block_capable_proposer": block_capable,
             "native": _native.diagnostics(),
         }
 
@@ -246,17 +235,29 @@ class SearchEngine:
         return extra
 
     def run(self) -> SearchTrace:
-        """Run the composed search to its budget; returns the trace."""
+        """Run the composed search to its budget; returns the trace.
+
+        Proposals come up to ``batch_size`` at a time from
+        ``propose_block``; each is gated, evaluated, and recorded in
+        stream order, so the clock charges, positions, and records do
+        not depend on the block size.  Every early exit (budget wall,
+        nmax, failure re-raise) hands strictly unconsumed proposals
+        back via ``rewind``, so checkpoint bytes do not either.
+        """
+        proposer = self.proposer
+        gate = self.gate
+        evaluator = self.evaluator
+        checkpoint = self.checkpoint
         trace = SearchTrace(algorithm=self.name)
-        clock = self.evaluator.clock
+        clock = evaluator.clock
         position = 0
         extra: dict = {}
-        if self.checkpoint is not None:
-            position, extra = self.checkpoint.restore(
-                trace, self.space, evaluator=self.evaluator, stream=self.stream
+        if checkpoint is not None:
+            position, extra = checkpoint.restore(
+                trace, self.space, evaluator=evaluator, stream=self.stream
             )
         ctx = EngineContext(
-            evaluator=self.evaluator,
+            evaluator=evaluator,
             clock=clock,
             trace=trace,
             nmax=self.nmax,
@@ -265,121 +266,29 @@ class SearchEngine:
             extra=extra,
         )
         skipped = int(extra.get("skipped", 0))
-        self.proposer.restore(position, ctx)
+        proposer.restore(position, ctx)
 
         # One-time setup (model fits, pool scoring, cutoffs).  A budget
         # wall here ends the search before it proposed anything.
         try:
-            self.proposer.setup(ctx)
-            if self.gate is not None:
-                self.gate.setup(ctx)
+            proposer.setup(ctx)
+            if gate is not None:
+                gate.setup(ctx)
         except BudgetExhaustedError:
             trace.exhausted_budget = True
             if self.setup_abort_elapsed:
                 trace.total_elapsed = max(trace.total_elapsed, clock.now)
             return trace
 
-        use_batched = (
-            self.batch_size is not None
-            and hasattr(self.proposer, "propose_block")
-            and hasattr(self.proposer, "rewind")
-            # A mid-block periodic snapshot embeds proposer.state();
-            # proposers that carry real state there (the guard wrapper)
-            # would checkpoint over-consumed positions, so they keep the
-            # serial loop whenever a checkpoint manager is attached.
-            and not (self.checkpoint is not None and self.proposer.state())
-        )
-        loop = self._batched_loop if use_batched else self._serial_loop
-        position, skipped, sync_elapsed = loop(ctx, trace, clock, position, skipped)
-
-        if self.stream_positions_metadata:
-            trace.metadata["stream_positions"] = position
-        if sync_elapsed:
-            trace.total_elapsed = max(trace.total_elapsed, clock.now)
-        if self.checkpoint is not None:
-            self.checkpoint.save(
-                trace, position=position, evaluator=self.evaluator,
-                extra=self._extra(skipped),
-            )
-        return trace
-
-    def _serial_loop(self, ctx, trace, clock, position, skipped):
-        """The reference loop: one proposal per Python-level iteration."""
-        sync_elapsed = True
-        while trace.n_evaluations < self.nmax and (
-            self.position_cap is None or position < self.position_cap
-        ):
-            proposal = self.proposer.propose(ctx)
-            if proposal is None:
-                break
-            position += 1
-            try:
-                if self.gate is not None and not self.gate.admit(ctx, proposal):
-                    skipped += 1
-                    continue
-                measurement = self.evaluator.evaluate(proposal.config)
-            except BudgetExhaustedError:
-                if self.rewind_position_on_budget_break:
-                    position -= 1
-                if self.charge_remainder_on_exhaust and clock.remaining > 0:
-                    # The budget died mid-evaluation: the partial work
-                    # until the wall was real, so charge the remainder
-                    # instead of silently dropping it.
-                    clock.advance(clock.remaining)
-                trace.exhausted_budget = True
-                sync_elapsed = not self.proposer.budget_break_skips_sync()
-                break
-            except EvaluationFailure as exc:
-                if self.failure_mode == "raise":
-                    raise
-                censored_at = getattr(exc, "censored_at", None)
-                self.proposer.observe(
-                    ctx,
-                    proposal,
-                    float("inf") if censored_at is None else float(censored_at),
-                    True,
-                    censored_at is not None,
-                )
-                record_failure(trace, proposal.config, exc, clock.now,
-                               skipped_before=skipped)
-            else:
-                self.proposer.observe(
-                    ctx,
-                    proposal,
-                    measurement.runtime_seconds,
-                    bool(getattr(measurement, "failed", False)),
-                    bool(getattr(measurement, "censored", False)),
-                )
-                record_measurement(trace, proposal.config, measurement,
-                                   clock.now, skipped_before=skipped)
-            skipped = 0
-            if self.checkpoint is not None:
-                self.checkpoint.maybe_save(
-                    trace, position=position, evaluator=self.evaluator,
-                    extra=self._extra(skipped),
-                )
-        return position, skipped, sync_elapsed
-
-    def _batched_loop(self, ctx, trace, clock, position, skipped):
-        """Block execution replaying the serial loop's exact accounting.
-
-        Proposals come ``batch_size`` at a time from ``propose_block``;
-        gate verdicts are computed as one vector when the gate exposes
-        ``admit_charge``/``admit_vector``, with each candidate's model-
-        query charge still applied per element in stream order.  Every
-        early exit (budget wall, nmax, failure re-raise) hands strictly
-        unconsumed proposals back via ``rewind`` so position accounting
-        and checkpoint bytes match the serial loop exactly.
-        """
-        proposer = self.proposer
-        gate = self.gate
-        evaluator = self.evaluator
-        checkpoint = self.checkpoint
-        batch = self.batch_size
+        # A mid-block periodic snapshot embeds proposer.state();
+        # proposers that carry real state there (the guard wrapper, the
+        # technique database) would checkpoint over-consumed positions,
+        # so under a checkpoint manager they take blocks of one.
+        batch = self.batch_size or 1
+        if checkpoint is not None and proposer.state():
+            batch = 1
         sync_elapsed = True
         stop = False
-        gate_charge = getattr(gate, "admit_charge", None) if gate is not None else None
-        admit_vector = getattr(gate, "admit_vector", None) if gate is not None else None
         while not stop and trace.n_evaluations < self.nmax and (
             self.position_cap is None or position < self.position_cap
         ):
@@ -391,49 +300,26 @@ class SearchEngine:
                 # never needs to overshoot the evaluation budget.
                 want = min(want, self.nmax - trace.n_evaluations)
             block = proposer.propose_block(ctx, want)
-            from_block = block is not None
-            if block is None:
-                # No block support right now (model phase, guard not
-                # trusted, ...): fall back to one serial proposal.
-                proposal = proposer.propose(ctx)
-                if proposal is None:
-                    break
-                block = [proposal]
-            elif not block:
-                break  # source exhausted, same as serial propose -> None
-            verdicts = None
-            if (
-                from_block
-                and admit_vector is not None
-                and gate_charge is not None
-                and all(p.predicted is not None for p in block)
-            ):
-                preds = np.fromiter(
-                    (p.predicted for p in block), dtype=float, count=len(block)
-                )
-                verdicts = admit_vector(preds)
+            if not block:
+                break  # source exhausted
             consumed = 0
-            for i, proposal in enumerate(block):
+            for proposal in block:
                 if trace.n_evaluations >= self.nmax:
                     break
                 position += 1
                 consumed += 1
                 try:
-                    if gate is not None:
-                        if verdicts is not None:
-                            if gate_charge:
-                                clock.advance(gate_charge)
-                            admitted = bool(verdicts[i])
-                        else:
-                            admitted = gate.admit(ctx, proposal)
-                        if not admitted:
-                            skipped += 1
-                            continue
+                    if gate is not None and not gate.admit(ctx, proposal):
+                        skipped += 1
+                        continue
                     measurement = evaluator.evaluate(proposal.config)
                 except BudgetExhaustedError:
                     if self.rewind_position_on_budget_break:
                         position -= 1
                     if self.charge_remainder_on_exhaust and clock.remaining > 0:
+                        # The budget died mid-evaluation: the partial
+                        # work until the wall was real, so charge the
+                        # remainder instead of silently dropping it.
                         clock.advance(clock.remaining)
                     trace.exhausted_budget = True
                     sync_elapsed = not proposer.budget_break_skips_sync()
@@ -441,7 +327,7 @@ class SearchEngine:
                     break
                 except EvaluationFailure as exc:
                     if self.failure_mode == "raise":
-                        if from_block and consumed < len(block):
+                        if consumed < len(block):
                             proposer.rewind(len(block) - consumed)
                         raise
                     censored_at = getattr(exc, "censored_at", None)
@@ -467,12 +353,22 @@ class SearchEngine:
                 skipped = 0
                 if checkpoint is not None:
                     checkpoint.maybe_save(
-                        trace, position=position, evaluator=self.evaluator,
+                        trace, position=position, evaluator=evaluator,
                         extra=self._extra(skipped),
                     )
-            if from_block and consumed < len(block):
+            if consumed < len(block):
                 proposer.rewind(len(block) - consumed)
-        return position, skipped, sync_elapsed
+
+        if self.stream_positions_metadata:
+            trace.metadata["stream_positions"] = position
+        if sync_elapsed:
+            trace.total_elapsed = max(trace.total_elapsed, clock.now)
+        if checkpoint is not None:
+            checkpoint.save(
+                trace, position=position, evaluator=evaluator,
+                extra=self._extra(skipped),
+            )
+        return trace
 
 
 def compose(

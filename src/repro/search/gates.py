@@ -25,8 +25,6 @@ holds byte-for-byte.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.search.protocols import EngineContext, Proposal, SurrogateModel
 from repro.search.proposers import PoolRankProposer
 from repro.searchspace.space import SearchSpace
@@ -44,18 +42,11 @@ __all__ = [
 class AcceptAll:
     """Evaluate every proposal (what ``gate=None`` means, reified)."""
 
-    #: Simulated seconds one admission decision charges (free here).
-    admit_charge = 0.0
-
     def setup(self, ctx: EngineContext) -> None:
         pass
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         return True
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` over a block of predictions."""
-        return np.ones(len(predicted), dtype=bool)
 
 
 class QuantileGate:
@@ -123,20 +114,6 @@ class QuantileGate:
         return not (proposal.predicted >= self.cutoff)
 
     @property
-    def admit_charge(self) -> float:
-        """Simulated seconds one admission decision charges — the one
-        model query :meth:`admit` pays.  The batched engine applies it
-        per element, in stream order, so clock bytes match serial."""
-        return self.surrogate.predict_seconds(1)
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` over a block of predictions.
-
-        Same skip test, same NaN semantics: ``not (p >= cutoff)``
-        admits NaN predictions, so the complement form is used."""
-        return ~(predicted >= self.cutoff)
-
-    @property
     def delta_fraction(self) -> float:
         return self.delta_percent / 100.0
 
@@ -164,19 +141,12 @@ class ReplayThresholdGate:
         self.delta_percent = delta_percent
         self.cutoff: float | None = None
 
-    #: Admission is a comparison against a carried source runtime: free.
-    admit_charge = 0.0
-
     def setup(self, ctx: EngineContext) -> None:
         self.cutoff = quantile(self.source_runtimes, self.delta_percent / 100.0)
         ctx.trace.metadata["cutoff"] = self.cutoff
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         return not (proposal.predicted >= self.cutoff)
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` (NaN admits, as in the scalar form)."""
-        return ~(predicted >= self.cutoff)
 
 
 class PredictionCutoffGate:
@@ -199,9 +169,6 @@ class PredictionCutoffGate:
         self.delta_percent = delta_percent
         self.cutoff: float | None = None
 
-    #: The pool predictions were paid for in the proposer's setup: free.
-    admit_charge = 0.0
-
     def setup(self, ctx: EngineContext) -> None:
         # Runs after the proposer's setup, so its pool is scored.
         self.cutoff = quantile(self.proposer.predictions, self.delta_percent / 100.0)
@@ -209,10 +176,6 @@ class PredictionCutoffGate:
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         return not (proposal.predicted >= self.cutoff)
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` (NaN admits, as in the scalar form)."""
-        return ~(predicted >= self.cutoff)
 
     @property
     def delta_fraction(self) -> float:

@@ -123,57 +123,44 @@ class GuardedProposer:
         self.inner.setup(ctx)
 
     # -- proposing -----------------------------------------------------
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        guard = self.guard
-        if not guard.enabled or guard.state == _TRUSTED or self.stream is None:
-            return self._propose_inner(ctx)
-        if guard.state == _REVOKED:
-            return self._propose_fallback(ctx)
-        # SUSPECT: alternate model ranking with plain stream draws —
-        # the bias ordering is flattened, not abandoned.
-        self._flip = not self._flip
-        if self._flip:
-            return self._propose_fallback(ctx)
-        proposal = self._propose_inner(ctx)
-        if proposal is None:
-            return self._propose_fallback(ctx)
-        return proposal
-
-    def _propose_inner(self, ctx: EngineContext) -> Proposal | None:
-        proposal = self.inner.propose(ctx)
-        if proposal is not None:
-            self._inner_consumed += 1
-            self._last_origin = "inner"
-        return proposal
-
-    def _propose_fallback(self, ctx: EngineContext) -> Proposal:
-        config = self.stream[self._fallback_consumed]
-        self._fallback_consumed += 1
-        self._last_origin = "fallback"
-        self.guard.note_fallback_proposal()
-        return Proposal(config)
-
-    def propose_block(self, ctx: EngineContext, count: int):
-        """Block proposals only while the guard cannot intervene.
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """Blocks only while the guard cannot intervene.
 
         With the guard armed and a fallback stream present, any block
         could straddle a TRUSTED -> SUSPECT/REVOKED transition — and a
         rewind could not un-count ``note_fallback_proposal`` calls
         already serialized into the guard's checkpoint state — so those
-        runs return ``None`` and stay candidate-by-candidate.  With no
-        guard (or no stream, where every state delegates to the inner
-        proposer anyway), delegation is byte-identical.
+        runs propose one candidate per call.  With no guard (or no
+        stream, where every state delegates to the inner proposer
+        anyway), delegation is byte-identical.
         """
-        if self.guard.enabled and self.stream is not None:
-            return None
-        inner_block = getattr(self.inner, "propose_block", None)
-        if inner_block is None:
-            return None
-        block = inner_block(ctx, count)
+        guard = self.guard
+        if not guard.enabled or self.stream is None:
+            return self._propose_inner(ctx, count)
+        if guard.state == _TRUSTED:
+            return self._propose_inner(ctx, 1)
+        if guard.state == _REVOKED:
+            return self._propose_fallback()
+        # SUSPECT: alternate model ranking with plain stream draws —
+        # the bias ordering is flattened, not abandoned.
+        self._flip = not self._flip
+        if self._flip:
+            return self._propose_fallback()
+        return self._propose_inner(ctx, 1) or self._propose_fallback()
+
+    def _propose_inner(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        block = self.inner.propose_block(ctx, count)
         if block:
             self._inner_consumed += len(block)
             self._last_origin = "inner"
         return block
+
+    def _propose_fallback(self) -> list[Proposal]:
+        config = self.stream[self._fallback_consumed]
+        self._fallback_consumed += 1
+        self._last_origin = "fallback"
+        self.guard.note_fallback_proposal()
+        return [Proposal(config)]
 
     def rewind(self, count: int) -> None:
         self.inner.rewind(count)
@@ -221,24 +208,6 @@ class GuardedGate:
 
     def setup(self, ctx: EngineContext) -> None:
         self.inner.setup(ctx)
-
-    @property
-    def admit_charge(self):
-        """The inner gate's per-decision charge while the guard is
-        dormant; ``None`` once armed, which keeps the engine on the
-        scalar :meth:`admit` path where state-dependent widening and
-        audit promotion can run per candidate."""
-        if self.guard.enabled:
-            return None
-        return getattr(self.inner, "admit_charge", None)
-
-    def admit_vector(self, predicted):
-        if self.guard.enabled:
-            return None
-        inner_vector = getattr(self.inner, "admit_vector", None)
-        if inner_vector is None:
-            return None
-        return inner_vector(predicted)
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         guard = self.guard

@@ -120,38 +120,30 @@ class StreamProposer(BaseProposer):
         self._buffered = np.empty(0)
         self._buf_start = position
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        position = self._position
-        if self.surrogate is None:
-            config = self.stream[position]
-            self._position += 1
-            return Proposal(config)
-        if position - self._buf_start >= len(self._buffered):
-            chunk = self.prefetch
-            if self.position_cap is not None:
-                chunk = min(chunk, self.position_cap - position)
-            self._buffered = self.surrogate.predict(
-                [self.stream[position + i] for i in range(chunk)]
-            )
-            self._buf_start = position
-        predicted = float(self._buffered[position - self._buf_start])
-        config = self.stream[position]
-        self._position += 1
-        return Proposal(config, predicted)
-
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
-        """Up to ``count`` consecutive stream proposals at once.
+        """The next ``count`` consecutive stream proposals.
 
-        The stream is unbounded, so the block is always full.  The
-        surrogate path reuses :meth:`propose` — the prediction buffer
-        refills in exactly the serial chunk boundaries, keeping the
-        memoized pool keys (and therefore traces) bit-identical.
+        The stream is unbounded, so the block is always full.  On the
+        surrogate path the prediction buffer refills every ``prefetch``
+        positions whatever the block size, keeping the memoized
+        prediction keys (and therefore traces) bit-identical.
         """
-        if self.surrogate is not None:
-            return [self.propose(ctx) for _ in range(count)]
         start = self._position
-        block = [Proposal(self.stream[start + i]) for i in range(count)]
         self._position += count
+        if self.surrogate is None:
+            return [Proposal(self.stream[start + i]) for i in range(count)]
+        block = []
+        for position in range(start, start + count):
+            if position - self._buf_start >= len(self._buffered):
+                chunk = self.prefetch
+                if self.position_cap is not None:
+                    chunk = min(chunk, self.position_cap - position)
+                self._buffered = self.surrogate.predict(
+                    [self.stream[position + i] for i in range(chunk)]
+                )
+                self._buf_start = position
+            predicted = float(self._buffered[position - self._buf_start])
+            block.append(Proposal(self.stream[position], predicted))
         return block
 
     def rewind(self, count: int) -> None:
@@ -261,14 +253,6 @@ class PoolRankProposer(BaseProposer):
         self._order = np.argsort(self.predictions, kind="stable")
         self._order_upto = n
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        if self._rank >= len(self.predictions):
-            return None
-        self._ensure_order(self._rank + 1)
-        idx = int(self._order[self._rank])
-        self._rank += 1
-        return Proposal(self._config_for(idx), float(self.predictions[idx]))
-
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` pool entries in predicted order (may be
         short, or empty when the pool is exhausted)."""
@@ -312,13 +296,6 @@ class ReplayProposer(BaseProposer):
     def restore(self, position: int, ctx: EngineContext) -> None:
         self._index = position
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        if self._index >= len(self.pairs):
-            return None
-        config, source_runtime = self.pairs[self._index]
-        self._index += 1
-        return Proposal(config, source_runtime)
-
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` replayed pairs (empty when exhausted)."""
         pairs = self.pairs[self._index : self._index + count]
@@ -338,9 +315,9 @@ class SMBOProposer(BaseProposer):
     target observations (every ``refit_every`` evaluations, optionally
     blending median-rescaled source observations), scores a fresh
     candidate pool with the acquisition function, and proposes the
-    argmax.  Refit and scoring costs are charged *in propose*, outside
-    the engine's budget guard: a budget wall mid-refit propagates to the
-    caller, exactly as the pre-engine loop behaved.
+    argmax.  Refit and scoring costs are charged *while proposing*,
+    outside the engine's budget guard: a budget wall mid-refit
+    propagates to the caller, exactly as the pre-engine loop behaved.
     """
 
     def __init__(
@@ -415,10 +392,15 @@ class SMBOProposer(BaseProposer):
         self._design = list(design)
         self._since_fit = self.refit_every  # force a first fit
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """Up to ``count`` initial-design proposals, then one model pick
+        per call: each pick depends on the previous observation."""
         if self._design:
+            take = self._design[:count]
+            del self._design[:count]
             self._last_was_design = True
-            return Proposal(self._design.pop(0))
+            self._block_design = take
+            return [Proposal(config) for config in take]
         self._last_was_design = False
         clock = ctx.clock
         if self._since_fit >= self.refit_every or self._model is None:
@@ -445,20 +427,18 @@ class SMBOProposer(BaseProposer):
                 if i not in self._evaluated
             ]
             if not indices:
-                return None
+                return []
             Xc = encoding_cache(self.space).encode_indices(indices)
-            winner = lambda scores: Proposal(  # noqa: E731
-                self.space.config_at(indices[int(np.argmax(scores))])
+            winner = lambda scores: self.space.config_at(  # noqa: E731
+                indices[int(np.argmax(scores))]
             )
         else:
             candidates = self.space.sample(self.rng, n)
             candidates = [c for c in candidates if c.index not in self._evaluated]
             if not candidates:
-                return None
+                return []
             Xc = encode_cached(self.space, candidates)
-            winner = lambda scores: Proposal(  # noqa: E731
-                candidates[int(np.argmax(scores))]
-            )
+            winner = lambda scores: candidates[int(np.argmax(scores))]  # noqa: E731
         mu = self._model.predict(Xc)
         clock.advance(2e-4 * len(Xc))
         if self.acquisition == "mean":
@@ -470,21 +450,10 @@ class SMBOProposer(BaseProposer):
             else:
                 best = math.log(min(v for _, v in self._observations))
                 scores = _expected_improvement(mu, sigma, best)
-        return winner(scores)
-
-    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal] | None:
-        """Design-phase proposals in one block; ``None`` in the model
-        phase, where each proposal depends on the previous observation
-        and the engine must stay candidate-by-candidate."""
-        if not self._design:
-            return None
-        take = self._design[:count]
-        del self._design[:count]
-        self._last_was_design = True
-        self._block_design = take
-        return [Proposal(config) for config in take]
+        return [Proposal(winner(scores))]
 
     def rewind(self, count: int) -> None:
+        # Only a design block can be longer than one proposal.
         tail = self._block_design[len(self._block_design) - count :]
         self._design[:0] = tail
 

@@ -131,16 +131,25 @@ class Proposer(Protocol):
     Lifecycle: ``restore`` (checkpoint state, even when empty) →
     ``setup`` (one-time work; simulated costs charged to ``ctx.clock``
     only when ``ctx.resumed`` is false, since a restored clock already
-    paid) → ``propose``/``observe`` per engine iteration → ``state``
-    whenever a checkpoint is written.
+    paid) → ``propose_block`` per engine iteration and ``observe`` per
+    evaluated candidate → ``state`` whenever a checkpoint is written.
     """
 
     def restore(self, position: int, ctx: EngineContext) -> None: ...
 
     def setup(self, ctx: EngineContext) -> None: ...
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        """The next candidate, or ``None`` when the source is exhausted."""
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """Up to ``count`` next candidates; empty when the source is
+        exhausted.  Sequential sources (each candidate depends on the
+        previous outcome) return at most one."""
+        ...
+
+    def rewind(self, count: int) -> None:
+        """Take back the last ``count`` proposals of the latest block,
+        which the engine did not consume.  The engine always consumes a
+        block's first proposal, so a one-proposal block is never
+        rewound."""
         ...
 
     def observe(

@@ -74,8 +74,8 @@ def pruned_search(
     and ``GuardPolicy.disabled()`` are byte-identical to an unguarded
     run.
 
-    ``batch_size`` selects the engine's block execution (``None`` for
-    the serial loop); traces are bit-identical either way — see
+    ``batch_size`` is the engine's proposal block size (``None`` for
+    blocks of one); traces are bit-identical either way — see
     :class:`~repro.search.engine.SearchEngine`.
 
     ``spec`` (a :class:`repro.spec.TunerSpec`) supplies defaults for

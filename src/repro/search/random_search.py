@@ -48,8 +48,8 @@ def random_search(
     :class:`~repro.reliability.checkpoint.CheckpointManager`; when its
     file exists the search resumes from it instead of starting over.
 
-    ``batch_size`` selects the engine's block execution (``None`` for
-    the serial loop); traces are bit-identical either way — see
+    ``batch_size`` is the engine's proposal block size (``None`` for
+    blocks of one); traces are bit-identical either way — see
     :class:`~repro.search.engine.SearchEngine`.  When not passed it
     comes from ``spec`` (a :class:`repro.spec.TunerSpec`; the default
     spec reproduces historical behavior exactly).

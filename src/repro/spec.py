@@ -93,9 +93,9 @@ class ForestSpec:
     The default reproduces the surrogate forest the transfer layer has
     always built; the SMBO proposer's smaller refit forest is the same
     spec with ``n_estimators=48, seed=7`` (see :class:`SMBOSpec`).
-    Execution details (``n_jobs``, the fit engine) are deliberately
-    *not* here — they change wall-clock, never results, so they are not
-    tuner hyperparameters.
+    Execution details (the fit engine) are deliberately *not* here —
+    they change wall-clock, never results, so they are not tuner
+    hyperparameters.
     """
 
     n_estimators: int = 64
@@ -176,11 +176,12 @@ class SMBOSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Engine execution shape: the batched loop's block size.
+    """Engine execution shape: the engine loop's proposal block size.
 
-    ``batch_size=None`` forces the serial loop; any value >= 1 runs the
-    batched loop (traces are byte-identical either way — this knob
-    trades throughput, not results).
+    ``batch_size=None`` means blocks of one, the same as ``1``; any
+    value >= 1 is the largest block the engine asks a proposer for
+    (traces are byte-identical either way — this knob trades
+    throughput, not results).
     """
 
     batch_size: int | None = 64

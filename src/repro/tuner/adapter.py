@@ -114,7 +114,9 @@ class TechniqueProposer(BaseProposer):
             pool[int(i)] for i in order[: min(self.seed_evaluations, ctx.nmax)]
         ]
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """One candidate per call (each depends on the last feedback);
+        empty once the technique converged onto measured configs."""
         while self._seeds:
             config = self._seeds.pop(0)
             cached = self.database.lookup(config)
@@ -124,7 +126,7 @@ class TechniqueProposer(BaseProposer):
                 self.technique.feedback(config, cached.value)
                 continue
             self._last_from_seed = True
-            return Proposal(config)
+            return [Proposal(config)]
         self._last_from_seed = False
         while True:
             config = self.technique.propose()
@@ -135,10 +137,10 @@ class TechniqueProposer(BaseProposer):
                 self.technique.feedback(config, cached.value)
                 self._stall += 1
                 if self._stall > 50 * ctx.nmax:
-                    return None  # technique converged onto measured configs
+                    return []  # technique converged onto measured configs
                 continue
             self._stall = 0
-            return Proposal(config)
+            return [Proposal(config)]
 
     def observe(self, ctx: EngineContext, proposal: Proposal, runtime: float,
                 failed: bool, censored: bool) -> None:

@@ -87,8 +87,7 @@ class TuningRun:
             # the partial work until the wall was real.
             charge_remainder_on_exhaust=True,
             checkpoint=checkpoint,
-            # Techniques propose one candidate at a time (no block
-            # protocol), so the engine stays serial regardless of the
+            # Techniques propose one candidate per block whatever the
             # spec's batch size — traces are identical either way.
             batch_size=self.spec.engine.batch_size,
         )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CheckpointError, JournalWriteError
 from repro.exec import RunRegistry
-from tests.faultfs import FailingFS
+from repro.chaos.faultfs import FailingFS
 
 
 @pytest.fixture

@@ -165,20 +165,6 @@ class TestForestEquivalence:
         np.testing.assert_array_equal(forest.predict(Xa), pa)
         np.testing.assert_array_equal(forest.predict_std(Xa), sa)
 
-    def test_n_jobs_matches_serial(self):
-        X, y = regression_data(n=60)
-        serial = RandomForestRegressor(n_estimators=6, seed=1).fit(X, y)
-        parallel = RandomForestRegressor(n_estimators=6, seed=1, n_jobs=2).fit(X, y)
-        for a, b in zip(serial.trees, parallel.trees):
-            assert_trees_identical(a, b)
-        np.testing.assert_array_equal(
-            serial.oob_prediction_, parallel.oob_prediction_
-        )
-
-    def test_n_jobs_zero_rejected(self):
-        with pytest.raises(ModelError):
-            RandomForestRegressor(n_jobs=0)
-
     def test_oob_single_tree_leaves_inbag_nan(self):
         X, y = regression_data(n=40)
         forest = RandomForestRegressor(n_estimators=1, seed=0).fit(X, y)

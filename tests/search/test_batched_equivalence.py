@@ -10,13 +10,17 @@ intervenes (SUSPECT widening, REVOKED fallback) must also be unchanged:
 the wrappers decline block execution whenever the guard could act.
 """
 
+import functools
+
 import pytest
 
 from repro.reliability import CheckpointManager, trace_to_dict
+from repro.search import warm_start
 from repro.search.biasing import biased_search, hybrid_search
 from repro.search.engine import SearchEngine
 from repro.search.proposers import StreamProposer
 from repro.search.pruning import pruned_search
+from repro.spec import EngineSpec, TunerSpec
 from repro.transfer.guard import GuardPolicy
 
 from tests.search.golden_scenarios import (
@@ -53,6 +57,16 @@ BATCHABLE = (
 )
 
 BATCH_SIZES = (1, 3, 64)
+
+# Scenarios whose proposer is sequential (a search technique, with or
+# without a surrogate seed phase): one proposal per block at any size.
+SEQUENTIAL = (
+    "tuner_random_clean",
+    "tuner_ga_clean",
+    "tuner_ga_faulted",
+    "warm_ga_cold",
+    "warm_ga_warm",
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +106,19 @@ def test_serial_trace_matches_golden(name):
     """``batch_size=None`` is the exact pre-batching loop."""
     trace = SCENARIOS[name](batch_size=None)
     assert trace_to_dict(trace) == FIXTURES[name]
+
+
+@pytest.mark.parametrize("name", SEQUENTIAL)
+@pytest.mark.parametrize("batch", (None,) + BATCH_SIZES)
+def test_sequential_trace_matches_golden(name, batch, monkeypatch):
+    """Technique proposers run in the block loop at every block size."""
+    spec = TunerSpec(engine=EngineSpec(batch_size=batch))
+    # warm_started_search takes no spec; hand it to the engine it builds.
+    monkeypatch.setattr(
+        warm_start, "SearchEngine", functools.partial(SearchEngine, spec=spec)
+    )
+    kw = {"spec": spec} if name.startswith("tuner_") else {}
+    assert trace_to_dict(SCENARIOS[name](**kw)) == FIXTURES[name]
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
@@ -205,9 +232,8 @@ def test_engine_diagnostics_report_mode(kernel):
         nmax=4, name="RS", space=kernel.space, batch_size=16,
     )
     diag = batched.diagnostics()
-    assert diag["engine_mode"] == "batched"
+    assert set(diag) == {"batch_size", "native"}
     assert diag["batch_size"] == 16
-    assert diag["block_capable_proposer"] is True
     assert diag["native"]["status"] in (
         "ok", "disabled", "no-compiler", "compile-failed", "load-failed"
     )
@@ -216,4 +242,4 @@ def test_engine_diagnostics_report_mode(kernel):
         _target(kernel), StreamProposer(stream),
         nmax=4, name="RS", space=kernel.space,
     )
-    assert serial.diagnostics()["engine_mode"] == "serial"
+    assert serial.diagnostics()["batch_size"] is None

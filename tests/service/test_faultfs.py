@@ -1,10 +1,10 @@
 """Fault injection: the service under disk-full and permission-denied.
 
-Write failures are injected into the session-store journal via the
-failing-fs shim; the contract under test is the degraded-mode one:
-structured ``overloaded`` rejections (never silent drops or torn
-state), in-memory state untouched by unacknowledged transitions, and
-full recovery once writes succeed again.
+Write failures are injected into the session-store journal via
+:class:`~repro.chaos.faultfs.FailingFS`; the contract under test is the
+degraded-mode one: structured ``overloaded`` rejections (never silent
+drops or torn state), in-memory state untouched by unacknowledged
+transitions, and full recovery once writes succeed again.
 """
 
 import errno
@@ -15,7 +15,7 @@ import pytest
 from repro.service import ServiceOverloadedError, TuningService
 from repro.service.model import JOB_COMPLETED, JOB_QUEUED
 from repro.service.store import SessionStore
-from tests.faultfs import FailingFS
+from repro.chaos.faultfs import FailingFS
 
 
 @pytest.fixture
